@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -272,9 +273,10 @@ class BoundScalarCall final : public BoundExpr {
 /// plain call, byte-for-byte the unmemoized path.
 ///
 /// Thread safety: morsel workers evaluate shared bound filters
-/// concurrently, so verdict slots are relaxed atomics. Concurrent fills of
-/// the same id are benign — both compute the same deterministic verdict —
-/// and the array is sized once at bind time, so there is no resize race.
+/// concurrently, so verdict slots are atomics, and the array is sized once
+/// at bind time, so there is no resize race. A slot is filled exactly once
+/// per execution (claim before compute, see EvalWithSubject): the memo's
+/// miss count is the number of distinct ids evaluated, at any DOP.
 class BoundMemoizedVerdict final : public BoundExpr {
  public:
   /// `static_class` != 0 puts the node in static-verdict mode: the
@@ -299,6 +301,58 @@ class BoundMemoizedVerdict final : public BoundExpr {
         static_class_(static_class) {}
 
   Result<Value> Eval(const Row& row, const Row* agg) const override {
+    return EvalImpl(row, agg, nullptr);
+  }
+
+  /// Eval for batch kernels, which settle Probe hits in aggregate: a row
+  /// answered from the memo — its slot was filled by another lane after the
+  /// caller's Probe saw kUnknown — sets `*memo_hit` and fires no callback,
+  /// so the caller settles it exactly like a Probe hit. Fills, direct calls
+  /// and static verdicts self-account as in Eval.
+  Result<Value> EvalDeferringHit(const Row& row, bool* memo_hit) const {
+    *memo_hit = false;
+    return EvalImpl(row, nullptr, memo_hit);
+  }
+
+  const BoundMemoizedVerdict* AsMemoizedVerdict() const override {
+    return this;
+  }
+
+  // --- Zone-map / batch-kernel probing. ------------------------------------
+
+  /// Slot states. kFilling is transient: one lane claimed the slot and is
+  /// computing its verdict. Probe reports it as kUnknown; Eval waits it out.
+  static constexpr uint8_t kUnknown = 0, kFalse = 1, kTrue = 2, kFilling = 3;
+
+  const ScalarFunction* function() const { return fn_; }
+
+  /// The scan-relative column this conjunct's subject reads, when it is a
+  /// plain column reference (the rewriter-injected `t.policy` always is).
+  std::optional<size_t> SubjectColumn() const {
+    return subject_->TryColumnIndex();
+  }
+
+  /// The cached verdict for `id` without filling: kUnknown when the id is
+  /// out of range, untracked, not yet evaluated at this call site, or still
+  /// being filled by another lane (callers fall back to Eval, which waits
+  /// for the fill and reports the row as a hit). A static node answers its
+  /// constant for every id — the pass already proved the whole dictionary
+  /// uniform, and its decision is only valid while the table holds no
+  /// un-interned policies, so the id cannot name a blob the classification
+  /// missed.
+  uint8_t Probe(uint32_t id) const {
+    if (static_class_ != 0) return static_class_ == 1 ? kTrue : kFalse;
+    if (id == 0 || id >= ceiling_) return kUnknown;
+    const uint8_t v = verdicts_[id].load(std::memory_order_acquire);
+    return v == kFilling ? kUnknown : v;
+  }
+
+  /// Bind-time static classification: 0 none, 1 all-allow, 2 all-deny.
+  int static_class() const { return static_class_; }
+
+ private:
+  Result<Value> EvalImpl(const Row& row, const Row* agg,
+                         bool* memo_hit) const {
     if (static_class_ != 0) {
       if (fn_->on_static_checks) {
         fn_->on_static_checks(1);
@@ -310,66 +364,61 @@ class BoundMemoizedVerdict final : public BoundExpr {
     // Hit-path tuples never copy the policy blob out of the row: the verdict
     // lookup only reads the interned id.
     if (const Value* ref = subject_->TryEvalRef(row); ref != nullptr) {
-      return EvalWithSubject(*ref, row, agg);
+      return EvalWithSubject(*ref, row, agg, memo_hit);
     }
     AAPAC_ASSIGN_OR_RETURN(Value subject, subject_->Eval(row, agg));
-    return EvalWithSubject(subject, row, agg);
+    return EvalWithSubject(subject, row, agg, memo_hit);
   }
 
-  const BoundMemoizedVerdict* AsMemoizedVerdict() const override {
-    return this;
-  }
-
-  // --- Zone-map / batch-kernel probing. ------------------------------------
-
-  static constexpr uint8_t kUnknown = 0, kFalse = 1, kTrue = 2;
-
-  const ScalarFunction* function() const { return fn_; }
-
-  /// The scan-relative column this conjunct's subject reads, when it is a
-  /// plain column reference (the rewriter-injected `t.policy` always is).
-  std::optional<size_t> SubjectColumn() const {
-    return subject_->TryColumnIndex();
-  }
-
-  /// The cached verdict for `id` without filling: kUnknown when the id is
-  /// out of range, untracked, or not yet evaluated at this call site. A
-  /// static node answers its constant for every id — the pass already
-  /// proved the whole dictionary uniform, and its decision is only valid
-  /// while the table holds no un-interned policies, so the id cannot name a
-  /// blob the classification missed.
-  uint8_t Probe(uint32_t id) const {
-    if (static_class_ != 0) return static_class_ == 1 ? kTrue : kFalse;
-    if (id == 0 || id >= ceiling_) return kUnknown;
-    return verdicts_[id].load(std::memory_order_relaxed);
-  }
-
-  /// Bind-time static classification: 0 none, 1 all-allow, 2 all-deny.
-  int static_class() const { return static_class_; }
-
- private:
+  /// Once-per-slot rule: a lane that finds the slot kUnknown claims it
+  /// (kUnknown -> kFilling) before computing. Only the claiming lane calls
+  /// fn — whose CheckTally bump is the row's one logical check — publishes
+  /// the verdict with release ordering and reports on_memo_fill. Every other
+  /// lane waits out kFilling and takes the stored verdict as a hit: through
+  /// on_memo_hit, or through `*memo_hit` when the caller settles hits in
+  /// aggregate. An error or a non-bool result puts the slot back to
+  /// kUnknown, so the next lane computes (and fails) on its own.
   Result<Value> EvalWithSubject(const Value& subject, const Row& row,
-                                const Row* agg) const {
+                                const Row* agg, bool* memo_hit) const {
     const uint32_t id = subject.bytes_interned_id();
     if (id == 0 || id >= ceiling_) {
       return CallDirect(subject, row, agg);
     }
     std::atomic<uint8_t>& slot = verdicts_[id];
-    const uint8_t cached = slot.load(std::memory_order_relaxed);
+    uint8_t cached = slot.load(std::memory_order_acquire);
+    for (;;) {
+      if (cached == kTrue || cached == kFalse) break;
+      if (cached == kFilling) {
+        std::this_thread::yield();
+        cached = slot.load(std::memory_order_acquire);
+        continue;
+      }
+      // kUnknown: claim. On failure `cached` holds the slot's new state.
+      if (slot.compare_exchange_weak(cached, kFilling,
+                                     std::memory_order_acquire)) {
+        break;
+      }
+    }
     if (cached != kUnknown) {
-      if (fn_->on_memo_hit) fn_->on_memo_hit();
+      if (memo_hit != nullptr) {
+        *memo_hit = true;
+      } else if (fn_->on_memo_hit) {
+        fn_->on_memo_hit();
+      }
       return Value::Bool(cached == kTrue);
     }
     const auto start = std::chrono::steady_clock::now();
-    AAPAC_ASSIGN_OR_RETURN(Value v, CallDirect(subject, row, agg));
-    if (v.type() == ValueType::kBool) {
-      slot.store(v.AsBool() ? kTrue : kFalse, std::memory_order_relaxed);
-      if (fn_->on_memo_fill) {
-        fn_->on_memo_fill(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count()));
-      }
+    Result<Value> v = CallDirect(subject, row, agg);
+    if (!v.ok() || v->type() != ValueType::kBool) {
+      slot.store(kUnknown, std::memory_order_release);
+      return v;
+    }
+    slot.store(v->AsBool() ? kTrue : kFalse, std::memory_order_release);
+    if (fn_->on_memo_fill) {
+      fn_->on_memo_fill(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count()));
     }
     return v;
   }

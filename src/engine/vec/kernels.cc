@@ -190,7 +190,9 @@ Status PredLoop(const PredSpec& p, const std::vector<Row>& rows,
 /// `pending` (one callback per batch instead of per row); unknown verdicts,
 /// un-interned blobs and NULL policies fall back to the per-row Eval path,
 /// which fills the memo and does its own miss accounting — byte-identical
-/// to the row executor for those tuples.
+/// to the row executor for those tuples. A fallback row whose slot another
+/// lane filled meanwhile is a memo hit and settles via `pending` too, just
+/// as its Probe hit would have at DOP 1.
 Status ComplianceLoop(const BoundMemoizedVerdict& mv, size_t subject_col,
                       const std::vector<Row>& rows, SelVector* sel,
                       PendingChecks* pending, uint64_t* fallback_rows) {
@@ -227,7 +229,9 @@ Status ComplianceLoop(const BoundMemoizedVerdict& mv, size_t subject_col,
       continue;
     }
     ++*fallback_rows;
-    Result<Value> r = mv.Eval(row, nullptr);
+    bool late_hit = false;
+    Result<Value> r = mv.EvalDeferringHit(row, &late_hit);
+    if (late_hit) ++hits;
     if (!r.ok()) {
       pending->Note(mv.function(), hits);
       sel->resize(out);
@@ -353,7 +357,9 @@ Status FusedChainLoop(const std::vector<CompiledFilter>& compiled,
           keep = false;
         } else {
           ++*fallback_rows;
-          Result<Value> r = cf.mv->Eval(row, nullptr);
+          bool late_hit = false;
+          Result<Value> r = cf.mv->EvalDeferringHit(row, &late_hit);
+          if (late_hit) ++(*hits)[f];
           if (!r.ok()) {
             settle();
             return r.status();

@@ -98,8 +98,10 @@ TEST(ProfileTallyTest, PerOperatorCountsIdenticalAcrossDop) {
   util::TaskPool pool(3);
   for (const auto& q : workload::PaperQueries()) {
     inst.monitor->SetParallelism(nullptr, 1);
-    // Warm-up pass: both measured runs then see the same memo/zone state,
-    // so hit/miss attribution is comparable rather than cold-vs-warm.
+    // Warm-up pass: warms the table's zone-map state, so both measured
+    // runs see the same zone summaries. The verdict memo is per statement
+    // execution, so each measured run still starts it cold and reports its
+    // own misses.
     ASSERT_TRUE(inst.monitor->ExecuteQuery(q.sql, "p3").ok()) << q.name;
     ASSERT_TRUE(inst.monitor->ExecuteQuery(q.sql, "p3").ok()) << q.name;
     auto serial = inst.monitor->profiles()->Last();

@@ -151,5 +151,46 @@ TEST(VerdictMemoTest, HitsPlusMissesAccountForEveryCheckOnInternedPolicies) {
   EXPECT_EQ(metrics->counter(obs::kVerdictMemoHits)->value(), hits1);
 }
 
+TEST(VerdictMemoTest, ContendedSlotsFillOncePerIdAtAnyDop) {
+  // One-row morsels on eight lanes make many lanes meet each new policy id
+  // at once. Each verdict slot must still be filled exactly once per
+  // statement, every other lane taking the stored verdict as a hit, so the
+  // miss count is the DOP-1 count and hits + misses is still the logical
+  // check count. Static verdicts and zone maps are off so every tuple
+  // reaches the memo; both executors share the memo and are covered.
+  Instance inst(/*policy_seed=*/11, /*selectivity=*/0.3);
+  inst.monitor->SetStaticVerdictEnabled(false);
+  inst.monitor->SetZoneMapEnabled(false);
+  auto* metrics = inst.monitor->metrics().get();
+  struct Counts {
+    uint64_t hits, misses, checks;
+  };
+  const auto run = [&](const std::string& sql) {
+    const uint64_t hits0 = metrics->counter(obs::kVerdictMemoHits)->value();
+    const uint64_t miss0 = metrics->counter(obs::kVerdictMemoMisses)->value();
+    const uint64_t checks = RunQuery(inst.monitor.get(), sql, "p3").second;
+    return Counts{metrics->counter(obs::kVerdictMemoHits)->value() - hits0,
+                  metrics->counter(obs::kVerdictMemoMisses)->value() - miss0,
+                  checks};
+  };
+  util::TaskPool pool(7);
+  for (const bool vec : {true, false}) {
+    inst.monitor->SetVectorEnabled(vec);
+    for (const auto& q : workload::PaperQueries()) {
+      const std::string where = q.name + (vec ? " (vector)" : " (row)");
+      inst.monitor->SetParallelism(nullptr, 1);
+      const Counts serial = run(q.sql);
+      inst.monitor->SetParallelism(&pool, 8, /*morsel_rows=*/1);
+      const Counts parallel = run(q.sql);
+      inst.monitor->SetParallelism(nullptr, 1);
+
+      EXPECT_EQ(parallel.misses, serial.misses) << where;
+      EXPECT_EQ(serial.hits + serial.misses, serial.checks) << where;
+      EXPECT_EQ(parallel.hits + parallel.misses, parallel.checks) << where;
+      EXPECT_EQ(parallel.checks, serial.checks) << where;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace aapac::core
