@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace aapac {
 namespace {
 
@@ -45,6 +47,14 @@ struct LikeCase {
   const char* pattern;
   bool match;
 };
+
+// Without a printer gtest dumps the struct's bytes, string pointers included,
+// and CTest names each case after that dump, so the names changed from run to
+// run with the load address.
+void PrintTo(const LikeCase& c, std::ostream* os) {
+  *os << "'" << c.value << "' LIKE '" << c.pattern << "' is "
+      << (c.match ? "true" : "false");
+}
 
 class SqlLikeTest : public ::testing::TestWithParam<LikeCase> {};
 
