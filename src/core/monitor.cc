@@ -1,6 +1,7 @@
 #include "core/monitor.h"
 
 #include <cstdlib>
+#include <optional>
 
 #include "core/compliance.h"
 #include "core/complexity.h"
@@ -200,12 +201,6 @@ EnforcementMonitor::~EnforcementMonitor() {
   metrics_->UnregisterExternalCounter("enforce.ledger_statements");
 }
 
-bool EnforcementMonitor::IsAuthorized(const std::string& user,
-                                      const std::string& purpose_id) const {
-  if (catalog_->IsUserAuthorized(user, purpose_id)) return true;
-  return roles_ != nullptr && roles_->IsAuthorizedViaRoles(user, purpose_id);
-}
-
 Status EnforcementMonitor::EnableAuditLog() {
   if (audit_enabled_) return Status::OK();
   if (db_->FindTable(kAuditTable) == nullptr) {
@@ -287,12 +282,15 @@ void EnforcementMonitor::AppendAudit(const std::string& user,
 
 namespace {
 
+/// Ledger table (and purpose) of a statement the envelope could not
+/// attribute: it failed before its prepare step completed, or its purpose
+/// did not resolve.
+const std::string kNone = "-";
+
 /// Ledger attribution dimension: the statement's primary table — the
 /// left-most base table a SELECT reads (descending through joins and
-/// derived tables). "-" when nothing resolves (authorization denials
-/// happen before parsing, so they always land there).
+/// derived tables), or the DML target.
 const std::string& PrimaryTableOf(const sql::TableRef& ref) {
-  static const std::string kNone = "-";
   switch (ref.kind()) {
     case sql::TableRef::Kind::kBaseTable:
       return static_cast<const sql::BaseTableRef&>(ref).table_name;
@@ -308,30 +306,118 @@ const std::string& PrimaryTableOf(const sql::TableRef& ref) {
 }
 
 const std::string& PrimaryTable(const sql::SelectStmt& stmt) {
-  static const std::string kNone = "-";
   return stmt.from.empty() ? kNone : PrimaryTableOf(*stmt.from[0]);
 }
+template <class Dml>
+const std::string& PrimaryTable(const Dml& stmt) {
+  return stmt.table;
+}
+
+uint64_t RowCount(const engine::ResultSet& rs) { return rs.rows.size(); }
+uint64_t RowCount(size_t affected) { return affected; }
 
 }  // namespace
+
+/// One statement's passage through the envelope: who issued what, how far
+/// it got and what it cost — everything Settle needs to close it out.
+struct EnforcementMonitor::Envelope {
+  /// Marks the failure as a denial rather than an error.
+  Status Deny(Status status) {
+    denied = true;
+    return status;
+  }
+
+  const char* action;  // Ledger action: "select", "insert", ... "access".
+  const std::string& sql;
+  const std::string& purpose;  // As supplied; audited as-is if unresolved.
+  const std::string& user;
+  std::string purpose_id{};            // Empty until Admit resolves it.
+  const std::string* table = &kNone;   // Set once the statement is prepared.
+  bool denied = false;
+  uint64_t checks = 0;
+  obs::EnforceTally tally{};
+  // Opened by ExecuteStage, closed after Settle so the audit row captures
+  // the profile's id.
+  std::optional<obs::ScopedProfile> profile{};
+};
+
+Status EnforcementMonitor::Admit(Envelope& env) const {
+  AAPAC_ASSIGN_OR_RETURN(env.purpose_id,
+                         catalog_->purposes().Resolve(env.purpose));
+  if (env.user.empty() ||
+      catalog_->IsUserAuthorized(env.user, env.purpose_id) ||
+      (roles_ != nullptr &&
+       roles_->IsAuthorizedViaRoles(env.user, env.purpose_id))) {
+    return Status::OK();
+  }
+  return env.Deny(Status::PermissionDenied(
+      "user '" + env.user + "' holds no authorization for purpose '" +
+      env.purpose_id + "'"));
+}
+
+template <class Fn>
+auto EnforcementMonitor::ExecuteStage(Envelope& env, Fn&& fn) {
+  env.profile.emplace(profiles_.get(), env.sql, env.purpose_id, env.user);
+  const uint64_t checks_before = engine::CheckTally::Current();
+  const obs::EnforceTally tally_before = obs::ProfileTally::Snapshot();
+  auto result = [&] {
+    obs::ScopedStageTimer timer(execute_hist_, obs::kStageExecute);
+    return fn();
+  }();
+  env.checks = engine::CheckTally::Current() - checks_before;
+  env.tally = obs::ProfileTally::DeltaSince(tally_before);
+  return result;
+}
+
+void EnforcementMonitor::Settle(Envelope& env, const Status& status,
+                                uint64_t rows) {
+  const char* outcome = status.ok() ? "ok" : env.denied ? "denied" : "error";
+  (status.ok() ? ok_counter_ : env.denied ? denied_counter_ : error_counter_)
+      ->Add(1);
+  if (env.checks != 0) check_counter_->Add(env.checks);
+  obs::TraceStore::AddChecks(env.checks);
+  obs::TraceStore::SetOutcome(outcome);
+  if (!status.ok()) obs::TraceStore::SetDenyReason(status.message());
+  obs::ProfileStore::SetTotals(env.checks, rows);
+  // An unresolved purpose is audited verbatim but keyed "-" in the ledger:
+  // caller-supplied text must not grow the ledger or its label set.
+  const bool resolved = !env.purpose_id.empty();
+  ledger_.Record(*env.table, resolved ? env.purpose_id : kNone, env.action,
+                 outcome, rows, env.checks, env.tally);
+  AppendAudit(env.user, resolved ? env.purpose_id : env.purpose, env.sql,
+              outcome, env.checks, static_cast<int64_t>(rows));
+}
+
+template <class Stmt, class PrepareFn, class ExecFn>
+auto EnforcementMonitor::RunEnforced(const char* action,
+                                     const std::string& sql,
+                                     const std::string& purpose,
+                                     const std::string& user,
+                                     PrepareFn&& prepare, ExecFn&& exec) {
+  obs::ScopedTrace trace(traces_.get(), sql, purpose, user);
+  Envelope env{action, sql, purpose, user};
+  std::unique_ptr<Stmt> stmt;  // Outlives Settle: env.table points into it.
+  auto result = [&]() -> decltype(exec(*stmt)) {
+    AAPAC_RETURN_NOT_OK(Admit(env));
+    AAPAC_ASSIGN_OR_RETURN(stmt, prepare(env));
+    env.table = &PrimaryTable(*stmt);
+    return ExecuteStage(env, [&] { return exec(*stmt); });
+  }();
+  Settle(env, result.status(), result.ok() ? RowCount(*result) : 0);
+  return result;
+}
 
 Result<std::string> EnforcementMonitor::CheckAccess(
     const std::string& purpose, const std::string& user,
     const std::string& sql_for_audit) {
-  AAPAC_ASSIGN_OR_RETURN(std::string purpose_id,
-                         catalog_->purposes().Resolve(purpose));
-  if (!user.empty() && !IsAuthorized(user, purpose_id)) {
-    denied_counter_->Add(1);
-    const std::string reason = "user '" + user +
-                               "' holds no authorization for purpose '" +
-                               purpose_id + "'";
-    obs::TraceStore::SetOutcome("denied");
-    obs::TraceStore::SetDenyReason(reason);
-    ledger_.Record("-", purpose_id, "access", "denied", 0, 0,
-                   obs::EnforceTally{});
-    AppendAudit(user, purpose_id, sql_for_audit, "denied", 0, 0);
-    return Status::PermissionDenied(reason);
+  Envelope env{sql_for_audit.empty() ? "access" : "select", sql_for_audit,
+               purpose, user};
+  const Status admitted = Admit(env);
+  if (!admitted.ok()) {
+    Settle(env, admitted, 0);
+    return admitted;
   }
-  return purpose_id;
+  return std::move(env.purpose_id);
 }
 
 Result<std::unique_ptr<sql::SelectStmt>> EnforcementMonitor::Prepare(
@@ -349,6 +435,15 @@ Result<std::unique_ptr<sql::SelectStmt>> EnforcementMonitor::Prepare(
   return stmt;
 }
 
+Status EnforcementMonitor::SettlePrepareFailure(const Status& status,
+                                                const std::string& sql,
+                                                const std::string& purpose_id,
+                                                const std::string& user) {
+  Envelope env{"select", sql, purpose_id, user, purpose_id};
+  Settle(env, status, 0);
+  return status;
+}
+
 Result<engine::ResultSet> EnforcementMonitor::ExecutePrepared(
     const sql::SelectStmt& stmt, const std::string& sql,
     const std::string& purpose_id, const std::string& user) {
@@ -359,53 +454,23 @@ Result<engine::ResultSet> EnforcementMonitor::ExecutePrepared(
     const sql::SelectStmt& stmt, const std::string& sql,
     const std::string& purpose_id, const std::string& user,
     const engine::ParallelSpec& parallel) {
-  // The profile covers exactly the executor's operator tree; it stays open
-  // through AppendAudit so the audit row captures this profile's id.
-  obs::ScopedProfile profile(profiles_.get(), sql, purpose_id, user);
-  const uint64_t checks_before = engine::CheckTally::Current();
-  const obs::EnforceTally tally_before = obs::ProfileTally::Snapshot();
-  Result<engine::ResultSet> result = [&] {
-    obs::ScopedStageTimer timer(execute_hist_, obs::kStageExecute);
-    return executor_.Execute(stmt, parallel);
-  }();
-  const uint64_t checks = engine::CheckTally::Current() - checks_before;
-  const obs::EnforceTally tally = obs::ProfileTally::DeltaSince(tally_before);
-  if (checks != 0) check_counter_->Add(checks);
-  obs::TraceStore::AddChecks(checks);
-  if (result.ok()) {
-    ok_counter_->Add(1);
-    obs::TraceStore::SetOutcome("ok");
-  } else {
-    error_counter_->Add(1);
-    obs::TraceStore::SetOutcome("error");
-    obs::TraceStore::SetDenyReason(result.status().message());
-  }
-  const uint64_t rows =
-      result.ok() ? static_cast<uint64_t>(result->rows.size()) : 0;
-  obs::ProfileStore::SetTotals(checks, rows);
-  ledger_.Record(PrimaryTable(stmt), purpose_id, "select",
-                 result.ok() ? "ok" : "error", rows, checks, tally);
-  AppendAudit(user, purpose_id, sql, result.ok() ? "ok" : "error", checks,
-              static_cast<int64_t>(rows));
+  Envelope env{"select", sql, purpose_id, user, purpose_id};
+  env.table = &PrimaryTable(stmt);
+  Result<engine::ResultSet> result =
+      ExecuteStage(env, [&] { return executor_.Execute(stmt, parallel); });
+  Settle(env, result.status(), result.ok() ? RowCount(*result) : 0);
   return result;
 }
 
 Result<engine::ResultSet> EnforcementMonitor::ExecuteQuery(
     const std::string& sql, const std::string& purpose,
     const std::string& user) {
-  obs::ScopedTrace trace(traces_.get(), sql, purpose, user);
-  AAPAC_ASSIGN_OR_RETURN(std::string purpose_id,
-                         CheckAccess(purpose, user, sql));
-  Result<std::unique_ptr<sql::SelectStmt>> stmt = Prepare(sql, purpose_id);
-  if (!stmt.ok()) {
-    error_counter_->Add(1);
-    obs::TraceStore::SetDenyReason(stmt.status().message());
-    ledger_.Record("-", purpose_id, "select", "error", 0, 0,
-                   obs::EnforceTally{});
-    AppendAudit(user, purpose_id, sql, "error", 0, 0);
-    return stmt.status();
-  }
-  return ExecutePrepared(**stmt, sql, purpose_id, user);
+  return RunEnforced<sql::SelectStmt>(
+      "select", sql, purpose, user,
+      [&](Envelope& env) { return Prepare(sql, env.purpose_id); },
+      [&](const sql::SelectStmt& stmt) {
+        return executor_.Execute(stmt, parallel_);
+      });
 }
 
 Result<engine::ResultSet> EnforcementMonitor::ExecuteUnrestricted(
@@ -644,193 +709,117 @@ Result<size_t> EnforcementMonitor::ExecuteInsert(const std::string& sql,
                                                  const std::string& purpose,
                                                  const Policy* policy,
                                                  const std::string& user) {
-  obs::ScopedTrace trace(traces_.get(), sql, purpose, user);
-  AAPAC_ASSIGN_OR_RETURN(std::string purpose_id,
-                         catalog_->purposes().Resolve(purpose));
-  if (!user.empty() && !IsAuthorized(user, purpose_id)) {
-    denied_counter_->Add(1);
-    obs::TraceStore::SetOutcome("denied");
-    ledger_.Record("-", purpose_id, "insert", "denied", 0, 0,
-                   obs::EnforceTally{});
-    return Status::PermissionDenied("user '" + user +
-                                    "' holds no authorization for purpose '" +
-                                    purpose_id + "'");
-  }
-  AAPAC_ASSIGN_OR_RETURN(std::unique_ptr<sql::InsertStmt> stmt,
-                         sql::ParseInsert(sql));
-
   std::optional<std::pair<std::string, Value>> forced;
-  if (catalog_->IsProtected(stmt->table)) {
-    if (policy == nullptr) {
-      return Status::PermissionDenied(
-          "inserts into protected table '" + stmt->table +
-          "' must carry a policy");
+  auto prepare = [&](Envelope& env)
+      -> Result<std::unique_ptr<sql::InsertStmt>> {
+    AAPAC_ASSIGN_OR_RETURN(std::unique_ptr<sql::InsertStmt> stmt,
+                           sql::ParseInsert(sql));
+    if (catalog_->IsProtected(stmt->table)) {
+      if (policy == nullptr) {
+        return env.Deny(Status::PermissionDenied(
+            "inserts into protected table '" + stmt->table +
+            "' must carry a policy"));
+      }
+      if (policy->table != stmt->table) {
+        return Status::InvalidArgument("policy targets table '" +
+                                       policy->table + "', INSERT targets '" +
+                                       stmt->table + "'");
+      }
+      PolicyManager validator(catalog_);
+      AAPAC_RETURN_NOT_OK(validator.ValidatePolicy(*policy));
+      AAPAC_ASSIGN_OR_RETURN(MaskLayout layout,
+                             catalog_->LayoutFor(stmt->table));
+      AAPAC_ASSIGN_OR_RETURN(BitString mask, layout.EncodePolicy(*policy));
+      forced = std::make_pair(std::string(AccessControlCatalog::kPolicyColumn),
+                              Value::Bytes(mask.ToBytes()));
     }
-    if (policy->table != stmt->table) {
-      return Status::InvalidArgument("policy targets table '" +
-                                     policy->table + "', INSERT targets '" +
-                                     stmt->table + "'");
+    // INSERT ... SELECT reads are themselves subject to enforcement.
+    if (stmt->select != nullptr) {
+      AAPAC_RETURN_NOT_OK(
+          rewriter_.Rewrite(stmt->select.get(), env.purpose_id));
     }
-    PolicyManager validator(catalog_);
-    AAPAC_RETURN_NOT_OK(validator.ValidatePolicy(*policy));
-    AAPAC_ASSIGN_OR_RETURN(MaskLayout layout,
-                           catalog_->LayoutFor(stmt->table));
-    AAPAC_ASSIGN_OR_RETURN(BitString mask, layout.EncodePolicy(*policy));
-    forced = std::make_pair(std::string(AccessControlCatalog::kPolicyColumn),
-                            Value::Bytes(mask.ToBytes()));
-  }
-
-  // INSERT ... SELECT reads are themselves subject to enforcement.
-  if (stmt->select != nullptr) {
-    AAPAC_RETURN_NOT_OK(rewriter_.Rewrite(stmt->select.get(), purpose_id));
-  }
-  obs::ScopedProfile profile(profiles_.get(), sql, purpose_id, user);
-  const uint64_t checks_before = engine::CheckTally::Current();
-  const obs::EnforceTally tally_before = obs::ProfileTally::Snapshot();
-  Result<size_t> inserted = [&] {
-    obs::ScopedStageTimer timer(execute_hist_, obs::kStageExecute);
-    return executor_.ExecuteInsert(*stmt, forced);
-  }();
-  const uint64_t checks = engine::CheckTally::Current() - checks_before;
-  if (checks != 0) check_counter_->Add(checks);
-  obs::TraceStore::AddChecks(checks);
-  (inserted.ok() ? ok_counter_ : error_counter_)->Add(1);
-  obs::TraceStore::SetOutcome(inserted.ok() ? "ok" : "error");
-  const uint64_t rows = inserted.ok() ? static_cast<uint64_t>(*inserted) : 0;
-  obs::ProfileStore::SetTotals(checks, rows);
-  ledger_.Record(stmt->table, purpose_id, "insert",
-                 inserted.ok() ? "ok" : "error", rows, checks,
-                 obs::ProfileTally::DeltaSince(tally_before));
-  AppendAudit(user, purpose_id, sql, inserted.ok() ? "ok" : "error", checks,
-              static_cast<int64_t>(rows));
-  return inserted;
+    return stmt;
+  };
+  return RunEnforced<sql::InsertStmt>(
+      "insert", sql, purpose, user, prepare,
+      [&](const sql::InsertStmt& stmt) {
+        return executor_.ExecuteInsert(stmt, forced);
+      });
 }
 
 Result<size_t> EnforcementMonitor::ExecuteUpdate(const std::string& sql,
                                                  const std::string& purpose,
                                                  const std::string& user) {
-  obs::ScopedTrace trace(traces_.get(), sql, purpose, user);
-  AAPAC_ASSIGN_OR_RETURN(std::string purpose_id,
-                         catalog_->purposes().Resolve(purpose));
-  if (!user.empty() && !IsAuthorized(user, purpose_id)) {
-    denied_counter_->Add(1);
-    obs::TraceStore::SetOutcome("denied");
-    ledger_.Record("-", purpose_id, "update", "denied", 0, 0,
-                   obs::EnforceTally{});
-    AppendAudit(user, purpose_id, sql, "denied", 0, 0);
-    return Status::PermissionDenied("user '" + user +
-                                    "' holds no authorization for purpose '" +
-                                    purpose_id + "'");
-  }
-  AAPAC_ASSIGN_OR_RETURN(std::unique_ptr<sql::UpdateStmt> stmt,
-                         sql::ParseUpdate(sql));
-  for (const auto& assignment : stmt->assignments) {
-    if (assignment.column == AccessControlCatalog::kPolicyColumn &&
-        catalog_->IsProtected(stmt->table)) {
-      return Status::PermissionDenied(
-          "the policy column can only be changed through the policy "
-          "manager");
+  auto prepare = [&](Envelope& env)
+      -> Result<std::unique_ptr<sql::UpdateStmt>> {
+    AAPAC_ASSIGN_OR_RETURN(std::unique_ptr<sql::UpdateStmt> stmt,
+                           sql::ParseUpdate(sql));
+    for (const auto& assignment : stmt->assignments) {
+      if (assignment.column == AccessControlCatalog::kPolicyColumn &&
+          catalog_->IsProtected(stmt->table)) {
+        return env.Deny(Status::PermissionDenied(
+            "the policy column can only be changed through the policy "
+            "manager"));
+      }
     }
-  }
-
-  // Enforcement piggybacks on the SELECT pipeline: build the equivalent
-  // read — every RHS expression and every assigned column, filtered by the
-  // UPDATE's WHERE — rewrite it, and transplant the rewritten WHERE (and
-  // RHS expressions, whose sub-queries are now enforced) back.
-  auto synthetic = std::make_unique<sql::SelectStmt>();
-  for (const auto& assignment : stmt->assignments) {
-    sql::SelectItem item;
-    item.expr = assignment.value->Clone();
-    synthetic->items.push_back(std::move(item));
-  }
-  for (const auto& assignment : stmt->assignments) {
-    sql::SelectItem item;
-    item.expr = std::make_unique<sql::ColumnRefExpr>("", assignment.column);
-    synthetic->items.push_back(std::move(item));
-  }
-  synthetic->from.push_back(
-      std::make_unique<sql::BaseTableRef>(stmt->table, ""));
-  synthetic->where = stmt->where ? stmt->where->Clone() : nullptr;
-  AAPAC_RETURN_NOT_OK(rewriter_.Rewrite(synthetic.get(), purpose_id));
-  stmt->where = std::move(synthetic->where);
-  for (size_t i = 0; i < stmt->assignments.size(); ++i) {
-    stmt->assignments[i].value = std::move(synthetic->items[i].expr);
-  }
-
-  obs::ScopedProfile profile(profiles_.get(), sql, purpose_id, user);
-  const uint64_t checks_before = engine::CheckTally::Current();
-  const obs::EnforceTally tally_before = obs::ProfileTally::Snapshot();
-  Result<size_t> updated = [&] {
-    obs::ScopedStageTimer timer(execute_hist_, obs::kStageExecute);
-    return executor_.ExecuteUpdate(*stmt);
-  }();
-  const uint64_t checks = engine::CheckTally::Current() - checks_before;
-  if (checks != 0) check_counter_->Add(checks);
-  obs::TraceStore::AddChecks(checks);
-  (updated.ok() ? ok_counter_ : error_counter_)->Add(1);
-  obs::TraceStore::SetOutcome(updated.ok() ? "ok" : "error");
-  const uint64_t rows = updated.ok() ? static_cast<uint64_t>(*updated) : 0;
-  obs::ProfileStore::SetTotals(checks, rows);
-  ledger_.Record(stmt->table, purpose_id, "update",
-                 updated.ok() ? "ok" : "error", rows, checks,
-                 obs::ProfileTally::DeltaSince(tally_before));
-  AppendAudit(user, purpose_id, sql, updated.ok() ? "ok" : "error", checks,
-              static_cast<int64_t>(rows));
-  return updated;
+    // Enforcement piggybacks on the SELECT pipeline: build the equivalent
+    // read — every RHS expression and every assigned column, filtered by
+    // the UPDATE's WHERE — rewrite it, and transplant the rewritten WHERE
+    // (and RHS expressions, whose sub-queries are now enforced) back.
+    auto synthetic = std::make_unique<sql::SelectStmt>();
+    for (const auto& assignment : stmt->assignments) {
+      sql::SelectItem item;
+      item.expr = assignment.value->Clone();
+      synthetic->items.push_back(std::move(item));
+    }
+    for (const auto& assignment : stmt->assignments) {
+      sql::SelectItem item;
+      item.expr = std::make_unique<sql::ColumnRefExpr>("", assignment.column);
+      synthetic->items.push_back(std::move(item));
+    }
+    synthetic->from.push_back(
+        std::make_unique<sql::BaseTableRef>(stmt->table, ""));
+    synthetic->where = stmt->where ? stmt->where->Clone() : nullptr;
+    AAPAC_RETURN_NOT_OK(rewriter_.Rewrite(synthetic.get(), env.purpose_id));
+    stmt->where = std::move(synthetic->where);
+    for (size_t i = 0; i < stmt->assignments.size(); ++i) {
+      stmt->assignments[i].value = std::move(synthetic->items[i].expr);
+    }
+    return stmt;
+  };
+  return RunEnforced<sql::UpdateStmt>(
+      "update", sql, purpose, user, prepare,
+      [&](const sql::UpdateStmt& stmt) {
+        return executor_.ExecuteUpdate(stmt);
+      });
 }
 
 Result<size_t> EnforcementMonitor::ExecuteDelete(const std::string& sql,
                                                  const std::string& purpose,
                                                  const std::string& user) {
-  obs::ScopedTrace trace(traces_.get(), sql, purpose, user);
-  AAPAC_ASSIGN_OR_RETURN(std::string purpose_id,
-                         catalog_->purposes().Resolve(purpose));
-  if (!user.empty() && !IsAuthorized(user, purpose_id)) {
-    denied_counter_->Add(1);
-    obs::TraceStore::SetOutcome("denied");
-    ledger_.Record("-", purpose_id, "delete", "denied", 0, 0,
-                   obs::EnforceTally{});
-    AppendAudit(user, purpose_id, sql, "denied", 0, 0);
-    return Status::PermissionDenied("user '" + user +
-                                    "' holds no authorization for purpose '" +
-                                    purpose_id + "'");
-  }
-  AAPAC_ASSIGN_OR_RETURN(std::unique_ptr<sql::DeleteStmt> stmt,
-                         sql::ParseDelete(sql));
-
-  // SELECT-*-equivalent enforcement: rewrite `select * from t where w`,
-  // then reuse its WHERE (the star expands to every non-policy column,
-  // requiring full direct read access per deleted tuple).
-  auto synthetic = std::make_unique<sql::SelectStmt>();
-  sql::SelectItem star;
-  star.expr = std::make_unique<sql::StarExpr>();
-  synthetic->items.push_back(std::move(star));
-  synthetic->from.push_back(
-      std::make_unique<sql::BaseTableRef>(stmt->table, ""));
-  synthetic->where = stmt->where ? stmt->where->Clone() : nullptr;
-  AAPAC_RETURN_NOT_OK(rewriter_.Rewrite(synthetic.get(), purpose_id));
-  stmt->where = std::move(synthetic->where);
-
-  obs::ScopedProfile profile(profiles_.get(), sql, purpose_id, user);
-  const uint64_t checks_before = engine::CheckTally::Current();
-  const obs::EnforceTally tally_before = obs::ProfileTally::Snapshot();
-  Result<size_t> removed = [&] {
-    obs::ScopedStageTimer timer(execute_hist_, obs::kStageExecute);
-    return executor_.ExecuteDelete(*stmt);
-  }();
-  const uint64_t checks = engine::CheckTally::Current() - checks_before;
-  if (checks != 0) check_counter_->Add(checks);
-  obs::TraceStore::AddChecks(checks);
-  (removed.ok() ? ok_counter_ : error_counter_)->Add(1);
-  obs::TraceStore::SetOutcome(removed.ok() ? "ok" : "error");
-  const uint64_t rows = removed.ok() ? static_cast<uint64_t>(*removed) : 0;
-  obs::ProfileStore::SetTotals(checks, rows);
-  ledger_.Record(stmt->table, purpose_id, "delete",
-                 removed.ok() ? "ok" : "error", rows, checks,
-                 obs::ProfileTally::DeltaSince(tally_before));
-  AppendAudit(user, purpose_id, sql, removed.ok() ? "ok" : "error", checks,
-              static_cast<int64_t>(rows));
-  return removed;
+  auto prepare = [&](Envelope& env)
+      -> Result<std::unique_ptr<sql::DeleteStmt>> {
+    AAPAC_ASSIGN_OR_RETURN(std::unique_ptr<sql::DeleteStmt> stmt,
+                           sql::ParseDelete(sql));
+    // SELECT-*-equivalent enforcement: rewrite `select * from t where w`,
+    // then reuse its WHERE (the star expands to every non-policy column,
+    // requiring full direct read access per deleted tuple).
+    auto synthetic = std::make_unique<sql::SelectStmt>();
+    sql::SelectItem star;
+    star.expr = std::make_unique<sql::StarExpr>();
+    synthetic->items.push_back(std::move(star));
+    synthetic->from.push_back(
+        std::make_unique<sql::BaseTableRef>(stmt->table, ""));
+    synthetic->where = stmt->where ? stmt->where->Clone() : nullptr;
+    AAPAC_RETURN_NOT_OK(rewriter_.Rewrite(synthetic.get(), env.purpose_id));
+    stmt->where = std::move(synthetic->where);
+    return stmt;
+  };
+  return RunEnforced<sql::DeleteStmt>(
+      "delete", sql, purpose, user, prepare,
+      [&](const sql::DeleteStmt& stmt) {
+        return executor_.ExecuteDelete(stmt);
+      });
 }
 
 }  // namespace aapac::core

@@ -41,6 +41,13 @@ class EnforcementMonitor {
   /// Parses, access-checks, rewrites and executes `sql` with `purpose`.
   /// When `user` is non-empty, the user must hold a purpose authorization
   /// (table Pa) for `purpose`, else kPermissionDenied.
+  ///
+  /// Every enforced statement — this and the INSERT/UPDATE/DELETE entry
+  /// points below — passes through one envelope: whichever way it exits,
+  /// it moves exactly one of enforce.ok/denied/error and writes exactly one
+  /// ledger record and (with the audit log on) one audit row. "denied" is
+  /// an unauthorized user, a protected INSERT without a policy or an
+  /// assignment to the policy column; every other failure is "error".
   Result<engine::ResultSet> ExecuteQuery(const std::string& sql,
                                          const std::string& purpose,
                                          const std::string& user = "");
@@ -93,24 +100,36 @@ class EnforcementMonitor {
   //
   //   CheckAccess -> [RewriteCache lookup | Prepare] -> ExecutePrepared
 
-  /// Resolves `purpose` and checks `user`'s authorization for it (empty user
-  /// skips the check, as in ExecuteQuery). Returns the resolved purpose id;
-  /// on denial appends a "denied" audit row for `sql_for_audit`.
+  /// Resolves `purpose` and checks `user`'s authorization for it (empty
+  /// user skips the check, as in ExecuteQuery). Success writes nothing and
+  /// returns the purpose id. Failure settles `sql_for_audit` like any
+  /// statement — "denied" for an unauthorized user, "error" for an unknown
+  /// purpose — under ledger action "select" ("access" if `sql_for_audit`
+  /// is empty: a session open).
   Result<std::string> CheckAccess(const std::string& purpose,
                                   const std::string& user,
                                   const std::string& sql_for_audit = "");
 
   /// Parses and enforcement-rewrites `sql` for an already-resolved purpose
-  /// id, without executing it. The returned statement is immutable from the
-  /// executor's point of view, so it may be executed concurrently by many
-  /// workers (and cached across them).
+  /// id, without executing it; writes nothing either way. The returned
+  /// statement is immutable from the executor's point of view, so it may be
+  /// executed concurrently by many workers (and cached across them).
   Result<std::unique_ptr<sql::SelectStmt>> Prepare(
       const std::string& sql, const std::string& purpose_id) const;
 
+  /// Settles a failed Prepare as ExecuteQuery does: one "error" outcome,
+  /// ledger record and audit row. Returns `status`.
+  Status SettlePrepareFailure(const Status& status, const std::string& sql,
+                              const std::string& purpose_id,
+                              const std::string& user);
+
   /// Executes an already-rewritten SELECT with the same check accounting and
-  /// audit trail as ExecuteQuery; `sql` is the original text recorded in the
-  /// audit log. Safe to call from multiple threads provided no writer runs
-  /// concurrently (the server's readers-writer lock guarantees this).
+  /// audit trail as ExecuteQuery — exactly one audit row and ledger record,
+  /// success or not; `sql` is the original text recorded in the audit log.
+  /// Safe to call from multiple threads provided every table access
+  /// resolves through a stable version: the server installs an
+  /// epoch-pinned engine::TableSnapshot for the statement (or, with epoch
+  /// concurrency off, holds its readers-writer lock).
   Result<engine::ResultSet> ExecutePrepared(const sql::SelectStmt& stmt,
                                             const std::string& sql,
                                             const std::string& purpose_id,
@@ -261,9 +280,11 @@ class EnforcementMonitor {
   static constexpr const char* kAuditTable = "audit_log";
 
   /// Enables the audit trail, in the spirit of the Hippocratic-database
-  /// lineage the paper builds on: every enforced statement appends a row to
+  /// lineage the paper builds on: every enforced statement — whatever its
+  /// outcome — appends one row to
   /// audit_log(seq, ui, ap, qy, outcome, checks, rows, trace, profile) —
-  /// sequence number, user, purpose id, SQL text, "ok"/"denied"/"error",
+  /// sequence number, user, purpose id (the supplied text when it does not
+  /// resolve), SQL text, "ok"/"denied"/"error",
   /// compliance checks spent on the statement, result/inserted row count,
   /// the statement's trace id (0 when tracing is off) and its profile id (0
   /// when profiling is off), joinable against the \trace and \profile rings
@@ -291,8 +312,20 @@ class EnforcementMonitor {
   }
 
  private:
-  bool IsAuthorized(const std::string& user,
-                    const std::string& purpose_id) const;
+  // The statement envelope (monitor.cc). Every enforced statement runs
+  // Admit -> its kind's prepare step -> ExecuteStage -> Settle; the
+  // server-path entry points above are built from the same parts.
+  struct Envelope;
+
+  template <class Stmt, class PrepareFn, class ExecFn>
+  auto RunEnforced(const char* action, const std::string& sql,
+                   const std::string& purpose, const std::string& user,
+                   PrepareFn&& prepare, ExecFn&& exec);
+
+  Status Admit(Envelope& env) const;
+  template <class Fn>
+  auto ExecuteStage(Envelope& env, Fn&& fn);
+  void Settle(Envelope& env, const Status& status, uint64_t rows);
 
   /// Appends one audit row; best effort (audit failures do not mask the
   /// query's own status).

@@ -412,20 +412,9 @@ NeededColumns ScanNeeded(const NeededColumns& needed,
 
 class ExecutorImpl {
  public:
-  ExecutorImpl(Database* db, ExecStats* stats, bool pushdown = true,
-               const ParallelSpec* parallel = nullptr,
-               bool verdict_memo = true, bool zone_map = true,
-               const vec::VecSpec* vec = nullptr, bool static_verdict = true,
-               bool index_scans = true)
-      : db_(db),
-        stats_(stats),
-        pushdown_(pushdown),
-        parallel_(parallel),
-        verdict_memo_(verdict_memo),
-        zone_map_(zone_map),
-        vec_(vec),
-        static_verdict_(static_verdict),
-        index_scans_(index_scans) {}
+  ExecutorImpl(Database* db, ExecStats* stats, const ExecOptions& options,
+               const ParallelSpec* parallel = nullptr)
+      : db_(db), stats_(stats), opts_(options), parallel_(parallel) {}
 
   Result<ResultSet> Execute(const sql::SelectStmt& stmt);
 
@@ -480,33 +469,30 @@ class ExecutorImpl {
   /// one filter to evaluate. Filterless passes have no per-row predicate
   /// work, so batching would only add overhead.
   bool UseVec(const std::vector<BoundExprPtr>& filters) const {
-    return vec_ != nullptr && vec_->enabled && !filters.empty();
+    return opts_.vec.enabled && !filters.empty();
   }
 
   /// Gate for the vec.* per-stage timing accumulation (mirrors the morsel
   /// and zone-map timing gates).
   bool VecTimed() const {
-    return obs::kObsCompiledIn && vec_ != nullptr &&
-           vec_->metrics != nullptr && obs::TimingEnabled();
+    return obs::kObsCompiledIn && opts_.vec.metrics != nullptr &&
+           obs::TimingEnabled();
   }
 
   Database* db_;
   ExecStats* stats_;
-  bool pushdown_;
+  // Copied per statement: every operator runs under the switches the
+  // statement started with.
+  const ExecOptions opts_;
   const ParallelSpec* parallel_;
-  bool verdict_memo_;
-  bool zone_map_;
-  const vec::VecSpec* vec_;
-  bool static_verdict_;
-  bool index_scans_;
 };
 
 bool Binder::MemoizeVerdictsEnabled() const {
-  return exec_ != nullptr && exec_->verdict_memo_;
+  return exec_ != nullptr && exec_->opts_.verdict_memo;
 }
 
 bool Binder::StaticVerdictEnabled() const {
-  return exec_ != nullptr && exec_->static_verdict_;
+  return exec_ != nullptr && exec_->opts_.static_verdict;
 }
 
 /// Splits an expression into its top-level AND conjuncts, preserving order.
@@ -835,7 +821,8 @@ Result<BindingSchema> ExecutorImpl::SchemaOfRef(const sql::TableRef& ref) {
 Result<std::vector<BoundExprPtr>> ExecutorImpl::ClaimConjuncts(
     const BindingSchema& schema, std::vector<PendingConjunct>* pending) {
   std::vector<BoundExprPtr> filters;
-  if (!pushdown_) return filters;  // Ablation mode: root applies everything.
+  // Ablation mode: the root applies everything.
+  if (!opts_.pushdown) return filters;
   for (auto& pc : *pending) {
     if (pc.consumed) continue;
     Binder binder(schema, db_, this, /*agg_specs=*/nullptr);
@@ -1199,7 +1186,7 @@ Result<Relation> ExecutorImpl::EvalBase(const sql::BaseTableRef& ref,
   // Zone-map eligibility: the claimed filters must end in a consecutive
   // tail of memoized compliance conjuncts over the interned column.
   ZoneScanPlan zplan;
-  if (zone_map_ && verdict_memo_ && table->zone_map() != nullptr &&
+  if (opts_.zone_map && opts_.verdict_memo && table->zone_map() != nullptr &&
       table->intern_column().has_value()) {
     const size_t icol = *table->intern_column();
     bool eligible = true;
@@ -1243,7 +1230,7 @@ Result<Relation> ExecutorImpl::EvalBase(const sql::BaseTableRef& ref,
   // serial settlement keeps check accounting DOP-invariant trivially.
   SargPredicate sarg;
   const SecondaryIndex* index = nullptr;
-  if (index_scans_ && first_claimed != nullptr && !filters.empty() &&
+  if (opts_.index_scans && first_claimed != nullptr && !filters.empty() &&
       DetectSargable(*first_claimed, full_schema, &sarg)) {
     index =
         table->FindIndexOn(sarg.column, /*need_range=*/!sarg.is_equality);
@@ -1301,7 +1288,7 @@ Result<Relation> ExecutorImpl::EvalBase(const sql::BaseTableRef& ref,
           std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                                t0)
               .count();
-      vec_->metrics->histogram(obs::kIndexProbeHist)->Record(probe_ns);
+      opts_.vec.metrics->histogram(obs::kIndexProbeHist)->Record(probe_ns);
     }
     // Only the probed candidates were visited; everything else was pruned
     // by the index.
@@ -1316,7 +1303,7 @@ Result<Relation> ExecutorImpl::EvalBase(const sql::BaseTableRef& ref,
   stats_->rows_scanned += table->num_rows();
 
   if (UseVec(filters)) {
-    vec::VecScanExecutor scan(&splan, vec_);
+    vec::VecScanExecutor scan(&splan, &opts_.vec);
     if (!ShouldParallelize(rows.size())) {
       AAPAC_RETURN_NOT_OK(scan.Run(0, rows.size(), &rel.rows));
     } else {
@@ -1363,7 +1350,7 @@ Result<Relation> ExecutorImpl::EvalDerived(
     vec::VecTally tally;
     const Status st = vec::ForEachPassing(
         filters, filters.size(), rs.rows, 0, rs.rows.size(),
-        vec_->EffectiveBatchRows(), VecTimed(), &tally,
+        opts_.vec.EffectiveBatchRows(), VecTimed(), &tally,
         [&](const vec::SelVector& sel) -> Status {
           for (uint32_t idx : sel) rel.rows.push_back(std::move(rs.rows[idx]));
           return Status::OK();
@@ -1371,7 +1358,7 @@ Result<Relation> ExecutorImpl::EvalDerived(
     AAPAC_RETURN_NOT_OK(st);
     vec::VecAggregate agg;
     agg.Merge(tally);
-    agg.PublishTo(vec_->metrics);
+    agg.PublishTo(opts_.vec.metrics);
   } else {
     for (Row& row : rs.rows) {
       AAPAC_ASSIGN_OR_RETURN(bool pass, PassesFilters(filters, row));
@@ -1539,7 +1526,7 @@ Result<Relation> ExecutorImpl::EvalJoin(const sql::JoinRef& ref,
     // exactly; the buffer is per morsel body, so deferred memo-hit checks
     // settle on the worker thread that probed.
     vec::VecAggregate probe_agg;
-    const size_t batch = vec_ != nullptr ? vec_->EffectiveBatchRows() : 0;
+    const size_t batch = opts_.vec.EffectiveBatchRows();
     const bool vec_timed = VecTimed();
     auto probe_range_vec = [&](size_t begin, size_t end,
                                std::vector<Row>* sink) -> Status {
@@ -1608,7 +1595,7 @@ Result<Relation> ExecutorImpl::EvalJoin(const sql::JoinRef& ref,
           },
           &out.rows));
     }
-    if (use_vec) probe_agg.PublishTo(vec_->metrics);
+    if (use_vec) probe_agg.PublishTo(opts_.vec.metrics);
   } else {
     // Nested-loop join for non-equi conditions.
     join_op.SetDetail("nested-loop");
@@ -1703,7 +1690,7 @@ Result<ResultSet> ExecutorImpl::Execute(const sql::SelectStmt& stmt) {
         vec::VecTally tally;
         const Status st = vec::ForEachPassing(
             root_filters, root_filters.size(), rel.rows, 0, rel.rows.size(),
-            vec_->EffectiveBatchRows(), VecTimed(), &tally,
+            opts_.vec.EffectiveBatchRows(), VecTimed(), &tally,
             [&](const vec::SelVector& sel) -> Status {
               for (uint32_t idx : sel) kept.push_back(std::move(rel.rows[idx]));
               return Status::OK();
@@ -1711,7 +1698,7 @@ Result<ResultSet> ExecutorImpl::Execute(const sql::SelectStmt& stmt) {
         AAPAC_RETURN_NOT_OK(st);
         vec::VecAggregate agg;
         agg.Merge(tally);
-        agg.PublishTo(vec_->metrics);
+        agg.PublishTo(opts_.vec.metrics);
       } else {
         for (Row& row : rel.rows) {
           AAPAC_ASSIGN_OR_RETURN(bool pass, PassesFilters(root_filters, row));
@@ -2086,8 +2073,7 @@ bool ExprResolvesIn(const sql::Expr& expr, const BindingSchema& schema) {
 
 class PlanPrinter {
  public:
-  PlanPrinter(ExecutorImpl* impl, bool pushdown, bool index_scans = true)
-      : impl_(impl), pushdown_(pushdown), index_scans_(index_scans) {}
+  explicit PlanPrinter(ExecutorImpl* impl) : impl_(impl) {}
 
   Result<std::string> Print(const sql::SelectStmt& stmt, int depth) {
     std::string out;
@@ -2162,7 +2148,7 @@ class PlanPrinter {
         // plan must not trigger an index rebuild.
         const SecondaryIndex* index = nullptr;
         SargPredicate sarg;
-        if (index_scans_ && pushdown_ && table != nullptr) {
+        if (opts().index_scans && opts().pushdown && table != nullptr) {
           for (const auto& pc : *pending) {
             if (pc.consumed) continue;
             if (!ExprResolvesIn(*pc.expr, schema)) continue;
@@ -2269,7 +2255,7 @@ class PlanPrinter {
   /// Prints claimed (pushed-down) conjuncts for a node schema.
   std::string ClaimLine(const BindingSchema& schema,
                         std::vector<PendingConjunct>* pending, int depth) {
-    if (!pushdown_) return "";
+    if (!opts().pushdown) return "";
     std::vector<std::string> claimed;
     for (auto& pc : *pending) {
       if (pc.consumed) continue;
@@ -2289,16 +2275,16 @@ class PlanPrinter {
     return out;
   }
 
+  const ExecOptions& opts() const { return impl_->opts_; }
+
   ExecutorImpl* impl_;
-  bool pushdown_;
-  bool index_scans_;
 };
 
 }  // namespace
 
 Result<std::string> Executor::ExplainPlan(const sql::SelectStmt& stmt) {
-  ExecutorImpl impl(db_, &stats_, pushdown_enabled_);
-  PlanPrinter printer(&impl, pushdown_enabled_, index_scans_enabled_);
+  ExecutorImpl impl(db_, &stats_, options_);
+  PlanPrinter printer(&impl);
   return printer.Print(stmt, 0);
 }
 
@@ -2309,20 +2295,14 @@ Result<std::string> Executor::ExplainPlanSql(const std::string& sql) {
 }
 
 Result<ResultSet> Executor::Execute(const sql::SelectStmt& stmt) {
-  stats_.statements.fetch_add(1, std::memory_order_relaxed);
-  ExecutorImpl impl(db_, &stats_, pushdown_enabled_, nullptr,
-                    verdict_memo_enabled_, zone_map_enabled_, &vec_spec_,
-                    static_verdict_enabled_, index_scans_enabled_);
-  return impl.Execute(stmt);
+  return Execute(stmt, ParallelSpec{});
 }
 
 Result<ResultSet> Executor::Execute(const sql::SelectStmt& stmt,
                                     const ParallelSpec& spec) {
-  if (!spec.enabled()) return Execute(stmt);  // Exactly the serial path.
   stats_.statements.fetch_add(1, std::memory_order_relaxed);
-  ExecutorImpl impl(db_, &stats_, pushdown_enabled_, &spec,
-                    verdict_memo_enabled_, zone_map_enabled_, &vec_spec_,
-                    static_verdict_enabled_, index_scans_enabled_);
+  // A disabled spec runs exactly the serial path.
+  ExecutorImpl impl(db_, &stats_, options_, spec.enabled() ? &spec : nullptr);
   return impl.Execute(stmt);
 }
 
@@ -2334,9 +2314,7 @@ Result<ResultSet> Executor::ExecuteSql(const std::string& sql) {
 
 Result<std::vector<Row>> Executor::EvalInsertSource(
     const sql::InsertStmt& stmt) {
-  ExecutorImpl impl(db_, &stats_, pushdown_enabled_, nullptr,
-                    verdict_memo_enabled_, zone_map_enabled_, &vec_spec_,
-                    static_verdict_enabled_, index_scans_enabled_);
+  ExecutorImpl impl(db_, &stats_, options_);
   if (stmt.select != nullptr) {
     AAPAC_ASSIGN_OR_RETURN(ResultSet rs, impl.Execute(*stmt.select));
     return std::move(rs.rows);
@@ -2488,9 +2466,7 @@ Result<size_t> Executor::ExecuteUpdate(const sql::UpdateStmt& stmt) {
   if (stmt.assignments.empty()) {
     return Status::InvalidArgument("UPDATE without assignments");
   }
-  ExecutorImpl impl(db_, &stats_, pushdown_enabled_, nullptr,
-                    verdict_memo_enabled_, zone_map_enabled_, &vec_spec_,
-                    static_verdict_enabled_, index_scans_enabled_);
+  ExecutorImpl impl(db_, &stats_, options_);
 
   // Resolve targets and bind right-hand sides.
   std::vector<size_t> targets;
@@ -2565,9 +2541,7 @@ Result<size_t> Executor::ExecuteDelete(const sql::DeleteStmt& stmt) {
   stats_.statements.fetch_add(1, std::memory_order_relaxed);
   AAPAC_ASSIGN_OR_RETURN(Table * table, db_->GetTable(stmt.table));
   ScopedDmlWrite write(db_, table);
-  ExecutorImpl impl(db_, &stats_, pushdown_enabled_, nullptr,
-                    verdict_memo_enabled_, zone_map_enabled_, &vec_spec_,
-                    static_verdict_enabled_, index_scans_enabled_);
+  ExecutorImpl impl(db_, &stats_, options_);
   BoundExprPtr predicate;
   if (stmt.where != nullptr) {
     AAPAC_ASSIGN_OR_RETURN(predicate,

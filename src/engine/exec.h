@@ -114,6 +114,19 @@ struct BoundColumn {
 
 using BindingSchema = std::vector<BoundColumn>;
 
+/// Executor configuration, handed whole to every execution: the paper's
+/// pushdown ablation, the verdict-memo / zone-map / static-verdict /
+/// secondary-index fast-path switches and the vectorized-scan spec. Each
+/// field is documented at its Executor setter.
+struct ExecOptions {
+  bool pushdown = true;
+  bool verdict_memo = true;
+  bool zone_map = true;
+  bool static_verdict = true;
+  bool index_scans = true;
+  vec::VecSpec vec;
+};
+
 /// Tree-walking executor over the SQL subset in sql::ParseSelect.
 ///
 /// Semantics follow PostgreSQL where the paper depends on them:
@@ -189,8 +202,8 @@ class Executor {
   /// executor by default — pushes scan-level predicates down; the toggle
   /// exists for the ablation benchmark that quantifies how much the paper's
   /// enforcement cost profile depends on it.
-  void set_pushdown_enabled(bool enabled) { pushdown_enabled_ = enabled; }
-  bool pushdown_enabled() const { return pushdown_enabled_; }
+  void set_pushdown_enabled(bool enabled) { options_.pushdown = enabled; }
+  bool pushdown_enabled() const { return options_.pushdown; }
 
   /// Disables per-statement verdict memoization (ScalarFunction::
   /// memoize_verdicts): every compliance check then runs the full
@@ -198,9 +211,9 @@ class Executor {
   /// differential harness and bench_verdict_cache use the toggle to prove
   /// results and check counts are identical either way.
   void set_verdict_memo_enabled(bool enabled) {
-    verdict_memo_enabled_ = enabled;
+    options_.verdict_memo = enabled;
   }
-  bool verdict_memo_enabled() const { return verdict_memo_enabled_; }
+  bool verdict_memo_enabled() const { return options_.verdict_memo; }
 
   /// Disables zone-map block skipping / bulk-accept (engine/zone_map.h):
   /// every scan then runs the per-tuple path even over blocks whose policy
@@ -208,8 +221,8 @@ class Executor {
   /// either way — the toggle exists for the differential harness and the
   /// bench_zone_skip self-check. Has no effect when verdict memoization is
   /// disabled (the fast path keys on memoized verdicts).
-  void set_zone_map_enabled(bool enabled) { zone_map_enabled_ = enabled; }
-  bool zone_map_enabled() const { return zone_map_enabled_; }
+  void set_zone_map_enabled(bool enabled) { options_.zone_map = enabled; }
+  bool zone_map_enabled() const { return options_.zone_map; }
 
   /// Disables honoring of bind-time static-verdict marks
   /// (sql::FuncCallExpr::static_class, set by the rewriter's StaticVerdict
@@ -221,17 +234,17 @@ class Executor {
   /// are identical either way (AAPAC_STATIC_OFF / the differential
   /// harness's static-off leg prove it).
   void set_static_verdict_enabled(bool enabled) {
-    static_verdict_enabled_ = enabled;
+    options_.static_verdict = enabled;
   }
-  bool static_verdict_enabled() const { return static_verdict_enabled_; }
+  bool static_verdict_enabled() const { return options_.static_verdict; }
 
   /// Disables the vectorized executor (engine/vec): every filter pass —
   /// base-table scans, hash-join probes, root/derived filters — then runs
   /// the row-at-a-time path. Results and check counts are identical either
   /// way; the kill switch (AAPAC_VECTOR_OFF) exists for the differential
   /// harness and as an operational escape hatch.
-  void set_vector_enabled(bool enabled) { vec_spec_.enabled = enabled; }
-  bool vector_enabled() const { return vec_spec_.enabled; }
+  void set_vector_enabled(bool enabled) { options_.vec.enabled = enabled; }
+  bool vector_enabled() const { return options_.vec.enabled; }
 
   /// Disables the secondary-index access path (engine/index.h): every
   /// sargable point/range scan then runs the full scan machinery. Results
@@ -240,30 +253,25 @@ class Executor {
   /// AAPAC_INDEX_OFF kill switch and the differential harness's index-off
   /// leg prove it).
   void set_index_scans_enabled(bool enabled) {
-    index_scans_enabled_ = enabled;
+    options_.index_scans = enabled;
   }
-  bool index_scans_enabled() const { return index_scans_enabled_; }
+  bool index_scans_enabled() const { return options_.index_scans; }
 
   /// Rows per batch for the vectorized executor; 0 selects the
   /// AAPAC_BATCH_ROWS default.
-  void set_batch_rows(size_t rows) { vec_spec_.batch_rows = rows; }
-  size_t batch_rows() const { return vec_spec_.batch_rows; }
+  void set_batch_rows(size_t rows) { options_.vec.batch_rows = rows; }
+  size_t batch_rows() const { return options_.vec.batch_rows; }
 
   /// Sink for the enforce.batches_* / vec.* metrics of the vectorized
   /// executor. Unset (the default) disables publication.
   void set_metrics(obs::MetricsRegistry* metrics) {
-    vec_spec_.metrics = metrics;
+    options_.vec.metrics = metrics;
   }
 
  private:
   Database* db_;
   ExecStats stats_;
-  bool pushdown_enabled_ = true;
-  bool verdict_memo_enabled_ = true;
-  bool zone_map_enabled_ = true;
-  bool static_verdict_enabled_ = true;
-  bool index_scans_enabled_ = true;
-  vec::VecSpec vec_spec_;
+  ExecOptions options_;
 };
 
 }  // namespace aapac::engine

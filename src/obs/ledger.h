@@ -30,11 +30,12 @@ namespace aapac::obs {
 //
 // The `table` dimension is the statement's primary table (DML target, or
 // the left-most base table of a SELECT); multi-table statements attribute
-// their whole delta there. Authorization denials happen before parsing, so
-// they land under table "-" (action "access" when the statement kind is
-// unknown). Unenforced replays that still invoke complies_with record
-// under ("*", "(unrestricted)") with no outcome so the outcome sums stay
-// reconcilable.
+// their whole delta there. Statements that fail before they are prepared
+// (denials, unknown purposes, parse and rewrite errors) land under table
+// "-", an unknown purpose also under purpose "-"; a failed session open
+// records action "access". Unenforced replays that still invoke
+// complies_with record under ("*", "(unrestricted)") with no outcome so the
+// outcome sums stay reconcilable.
 //
 // With AAPAC_OBS_OFF, Record is a no-op and every snapshot is empty.
 // ---------------------------------------------------------------------------
@@ -46,8 +47,8 @@ struct LedgerEntry {
   std::string action;  // "select", "insert", "update", "delete", "access".
   uint64_t statements = 0;
   uint64_t allowed = 0;  // Statements that completed ok.
-  uint64_t denied = 0;   // Authorization denials.
-  uint64_t errors = 0;   // Parse/bind/execution errors.
+  uint64_t denied = 0;   // Authorization and policy refusals.
+  uint64_t errors = 0;   // Every other failure (purpose, parse, execute).
   uint64_t rows = 0;     // Result / affected rows of ok statements.
   uint64_t checks = 0;   // complies_with checks spent (Fig. 6 currency).
   EnforceTally tally;    // Zone / memo / batch attribution.

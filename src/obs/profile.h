@@ -25,7 +25,16 @@ namespace aapac::obs {
 // accumulate into a plain thread-local EnforceTally (ProfileTally below),
 // the morsel driver folds pool-thread deltas back into the calling thread
 // at operator close, and the driver-side OpScope (engine/exec.cc) reads
-// before/after deltas — so per-operator counts are identical at any DOP.
+// before/after deltas. That makes rows in/out, checks, memo_hits,
+// memo_misses, zone_checks and static_checks identical at any DOP
+// (ProfileTallyTest, VerdictMemoTest). It does not make the zone-block
+// fields DOP-invariant: blocks_skipped/bulk/mixed and rows_zone_skipped
+// depend on the order in which the statement's verdict memo fills, because
+// when a zone block spans several morsels each morsel decides its fragment
+// against the memo as it stands (DecideBlock in row_scan.cc, vec_scan.cc) —
+// a block a cold serial pass reports mixed can be skipped by a later
+// morsel. The batches_* and fallback_rows fields follow the morsel and
+// batch geometry.
 //
 // Like TraceStore, the store keeps a thread-local open slot plus a ring of
 // the most recent published profiles; the profile id is stamped into the

@@ -122,16 +122,15 @@ void EnforcementServer::Shutdown() {
 Result<SessionId> EnforcementServer::OpenSession(const std::string& user,
                                                  const std::string& purpose,
                                                  const std::string& role) {
+  // Epoch mode: the pin keeps WithExclusive's catalog mutations out of
+  // CheckAccess (stop-the-world waits for pins); no lock taken.
+  std::optional<util::EpochManager::Pin> pin;
+  std::shared_lock<std::shared_mutex> lock(data_mu_, std::defer_lock);
   if (epoch_mode_) {
-    // The pin keeps WithExclusive's catalog mutations out of CheckAccess
-    // (stop-the-world waits for pins); no lock taken.
-    util::EpochManager::Pin pin(*epochs_);
-    lock_shared_->Add(1);
-    AAPAC_ASSIGN_OR_RETURN(std::string purpose_id,
-                           monitor_->CheckAccess(purpose, user));
-    return sessions_.Open(user, purpose_id, role);
+    pin.emplace(*epochs_);
+  } else {
+    lock.lock();
   }
-  std::shared_lock<std::shared_mutex> lock(data_mu_);
   lock_shared_->Add(1);
   AAPAC_ASSIGN_OR_RETURN(std::string purpose_id,
                          monitor_->CheckAccess(purpose, user));
@@ -345,11 +344,16 @@ EnforcementServer::CheckAndPrepare(const SessionInfo& session,
                          version, &table_versions);
   }();
   if (entry == nullptr) {
-    AAPAC_ASSIGN_OR_RETURN(std::unique_ptr<sql::SelectStmt> stmt,
-                           monitor_->Prepare(sql, session.purpose_id));
+    Result<std::unique_ptr<sql::SelectStmt>> stmt =
+        monitor_->Prepare(sql, session.purpose_id);
+    if (!stmt.ok()) {
+      // Audited like ExecuteQuery's own prepare failure.
+      return monitor_->SettlePrepareFailure(stmt.status(), sql,
+                                            session.purpose_id, session.user);
+    }
     auto fresh = std::make_shared<RewriteCache::Entry>();
-    fresh->rewritten_sql = sql::ToSql(*stmt);
-    fresh->stmt = std::move(stmt);
+    fresh->rewritten_sql = sql::ToSql(**stmt);
+    fresh->stmt = std::move(*stmt);
     fresh->version = version;
     fresh->table_versions = std::move(table_versions);
     cache_.Insert(normalized, session.purpose_id, session.role, fresh);
@@ -484,83 +488,53 @@ void EnforcementServer::FoldAuditLocked() {
   epoch_gauge_->Set(static_cast<int64_t>(epochs_->current_epoch()));
 }
 
-Result<size_t> EnforcementServer::ExecuteInsert(SessionId session,
-                                                const std::string& sql,
-                                                const core::Policy* policy) {
+template <class Dml>
+Result<size_t> EnforcementServer::RunWrite(SessionId session,
+                                           const std::string& sql, Dml&& dml) {
   AAPAC_ASSIGN_OR_RETURN(SessionInfo info, sessions_.Get(session));
   obs::ScopedTrace trace(monitor_->traces().get(), sql, info.purpose_id,
                          info.user);
-  if (epoch_mode_) {
-    std::unique_lock<std::mutex> lock(writer_mu_, std::defer_lock);
-    {
-      obs::ScopedStageTimer timer(lock_wait_hist_, obs::kStageLockWait);
-      lock.lock();
-    }
-    lock_exclusive_->Add(1);
-    // The executor's DML path opens the copy-on-write transaction and
-    // publishes on every exit; readers never block.
-    Result<size_t> r =
-        monitor_->ExecuteInsert(sql, info.purpose_id, policy, info.user);
-    epoch_gauge_->Set(static_cast<int64_t>(epochs_->current_epoch()));
-    return r;
-  }
-  std::unique_lock<std::shared_mutex> lock(data_mu_, std::defer_lock);
+  // Exactly one of the two is taken. In epoch mode the executor's DML path
+  // opens the copy-on-write transaction and publishes on every exit, so
+  // readers never block.
+  std::unique_lock<std::mutex> writer(writer_mu_, std::defer_lock);
+  std::unique_lock<std::shared_mutex> data(data_mu_, std::defer_lock);
   {
     obs::ScopedStageTimer timer(lock_wait_hist_, obs::kStageLockWait);
-    lock.lock();
+    if (epoch_mode_) {
+      writer.lock();
+    } else {
+      data.lock();
+    }
   }
   lock_exclusive_->Add(1);
-  return monitor_->ExecuteInsert(sql, info.purpose_id, policy, info.user);
+  Result<size_t> r = dml(info);
+  if (epoch_mode_) {
+    epoch_gauge_->Set(static_cast<int64_t>(epochs_->current_epoch()));
+  }
+  return r;
+}
+
+Result<size_t> EnforcementServer::ExecuteInsert(SessionId session,
+                                                const std::string& sql,
+                                                const core::Policy* policy) {
+  return RunWrite(session, sql, [&](const SessionInfo& info) {
+    return monitor_->ExecuteInsert(sql, info.purpose_id, policy, info.user);
+  });
 }
 
 Result<size_t> EnforcementServer::ExecuteUpdate(SessionId session,
                                                 const std::string& sql) {
-  AAPAC_ASSIGN_OR_RETURN(SessionInfo info, sessions_.Get(session));
-  obs::ScopedTrace trace(monitor_->traces().get(), sql, info.purpose_id,
-                         info.user);
-  if (epoch_mode_) {
-    std::unique_lock<std::mutex> lock(writer_mu_, std::defer_lock);
-    {
-      obs::ScopedStageTimer timer(lock_wait_hist_, obs::kStageLockWait);
-      lock.lock();
-    }
-    lock_exclusive_->Add(1);
-    Result<size_t> r = monitor_->ExecuteUpdate(sql, info.purpose_id, info.user);
-    epoch_gauge_->Set(static_cast<int64_t>(epochs_->current_epoch()));
-    return r;
-  }
-  std::unique_lock<std::shared_mutex> lock(data_mu_, std::defer_lock);
-  {
-    obs::ScopedStageTimer timer(lock_wait_hist_, obs::kStageLockWait);
-    lock.lock();
-  }
-  lock_exclusive_->Add(1);
-  return monitor_->ExecuteUpdate(sql, info.purpose_id, info.user);
+  return RunWrite(session, sql, [&](const SessionInfo& info) {
+    return monitor_->ExecuteUpdate(sql, info.purpose_id, info.user);
+  });
 }
 
 Result<size_t> EnforcementServer::ExecuteDelete(SessionId session,
                                                 const std::string& sql) {
-  AAPAC_ASSIGN_OR_RETURN(SessionInfo info, sessions_.Get(session));
-  obs::ScopedTrace trace(monitor_->traces().get(), sql, info.purpose_id,
-                         info.user);
-  if (epoch_mode_) {
-    std::unique_lock<std::mutex> lock(writer_mu_, std::defer_lock);
-    {
-      obs::ScopedStageTimer timer(lock_wait_hist_, obs::kStageLockWait);
-      lock.lock();
-    }
-    lock_exclusive_->Add(1);
-    Result<size_t> r = monitor_->ExecuteDelete(sql, info.purpose_id, info.user);
-    epoch_gauge_->Set(static_cast<int64_t>(epochs_->current_epoch()));
-    return r;
-  }
-  std::unique_lock<std::shared_mutex> lock(data_mu_, std::defer_lock);
-  {
-    obs::ScopedStageTimer timer(lock_wait_hist_, obs::kStageLockWait);
-    lock.lock();
-  }
-  lock_exclusive_->Add(1);
-  return monitor_->ExecuteDelete(sql, info.purpose_id, info.user);
+  return RunWrite(session, sql, [&](const SessionInfo& info) {
+    return monitor_->ExecuteDelete(sql, info.purpose_id, info.user);
+  });
 }
 
 Status EnforcementServer::WithExclusive(const std::function<Status()>& fn) {

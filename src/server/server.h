@@ -337,6 +337,13 @@ class EnforcementServer {
                                           const std::string& sql,
                                           const engine::ParallelSpec& parallel);
 
+  /// The write path shared by ExecuteInsert/Update/Delete: session lookup,
+  /// the statement's trace, the exclusive side (writer mutex in epoch mode,
+  /// data_mu_ otherwise, timed as pipeline.lock_wait), then `dml` — the
+  /// monitor call — and the epoch-gauge update.
+  template <class Dml>
+  Result<size_t> RunWrite(SessionId session, const std::string& sql, Dml&& dml);
+
   /// Folds the audit staging buffer into audit_log (copy-on-write
   /// transaction + publish). FoldAudit takes the writer mutex; the Locked
   /// variant requires it held.
